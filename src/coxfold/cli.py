@@ -42,13 +42,11 @@ from .decomposition import (
     Marking,
 )
 from .graphs import (
-    FoldTrace,
-    _fold_candidate,
+    LabeledGraph,
+    _UnionFind,
     betti,
-    compose_traces,
-    fold_once,
+    fold,
     graph_to_dot,
-    identity_trace,
     is_folded,
     load_graph,
     save_graph,
@@ -120,20 +118,28 @@ def _cmd_word(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _trace_entries(g: LabeledGraph, steps: tuple[tuple[int, int], ...]) -> list[dict]:
+    """The ``--trace`` records of a fold of g: the edge pair of each step and
+    the vertex count after it.  A step merges the terminal vertices of its
+    two edges unless they already coincide."""
+    vuf = _UnionFind(g.vertices)
+    n = len(g.vertices)
+    entries = []
+    for a, b in steps:
+        n -= vuf.union(g.edge(a).omega, g.edge(b).omega) is not None
+        entries.append({"edges": [a, b], "vertices_after": n})
+    return entries
+
+
 def _cmd_fold(args: argparse.Namespace) -> int:
-    g, basepoint = load_graph(args.graph)
-    steps = []
-    trace: FoldTrace = identity_trace(g)
-    cur = g
-    while True:
-        pair = _fold_candidate(cur)
-        if pair is None:
-            break
-        step = fold_once(cur, *pair)
-        steps.append({"edges": list(pair), "vertices_after": len(step.result.vertices)})
-        trace = compose_traces(trace, step)
-        cur = step.result
-    folded = cur
+    try:
+        g, basepoint = load_graph(args.graph)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"malformed graph file: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    trace = fold(g)
+    folded = trace.result
+    steps = trace.steps
     if basepoint is not None:
         basepoint = trace.vertex_map[basepoint]
     out_path = args.out or (os.path.splitext(args.graph)[0] + ".folded.json")
@@ -156,10 +162,9 @@ def _cmd_fold(args: argparse.Namespace) -> int:
         f"wrote {out_path}",
     ]
     if args.trace:
-        report["trace"] = steps
+        report["trace"] = _trace_entries(g, steps)
         lines.extend(
-            f"  step {i + 1}: identify edges {s['edges'][0]} ~ {s['edges'][1]}"
-            for i, s in enumerate(steps)
+            f"  step {i + 1}: identify edges {a} ~ {b}" for i, (a, b) in enumerate(steps)
         )
     _emit(report, args.json, lines)
     return EXIT_OK
@@ -349,6 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "budget", None) is not None and args.budget <= 0:
+        print(f"error: --budget must be a positive integer, got {args.budget}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except Indeterminate as exc:

@@ -64,7 +64,6 @@ class LabeledGraph:
                 raise ValueError(f"edge {e.id}: label incompatible with its inverse")
             if e.alpha not in self._vertices or e.omega not in self._vertices:
                 raise ValueError(f"edge {e.id}: endpoint not a vertex")
-        self._out: dict[int, tuple[int, ...]] = {v: () for v in self._vertices}
         grouped: dict[int, list[int]] = {v: [] for v in self._vertices}
         for eid in sorted(self._edges):
             grouped[self._edges[eid].alpha].append(eid)
@@ -208,10 +207,6 @@ class GraphPath:
         )
 
 
-def path_label(path: GraphPath) -> Word:
-    return path.label()
-
-
 # -- construction -------------------------------------------------------
 
 
@@ -249,10 +244,6 @@ class GraphBuilder:
 
 def wedge_graph(words: Sequence[Word], mode: str = "involutive") -> BasedGraph:
     """Bouquet of labeled cycles at one basepoint, one cycle per word."""
-    if not words:
-        b = GraphBuilder(mode)
-        v0 = b.add_vertex()
-        return BasedGraph(b.build(), v0)
     b = GraphBuilder(mode)
     v0 = b.add_vertex()
     for w in words:
@@ -280,21 +271,44 @@ class _UnionFind:
             x = self.parent[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> Optional[int]:
+        """Merge the classes of a and b, keeping the smaller root as the
+        representative; return the absorbed root (None if already merged)."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smallest id as representative
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
+        if ra == rb:
+            return None
+        keep, gone = (ra, rb) if ra < rb else (rb, ra)
+        self.parent[gone] = keep
+        return gone
 
 
 @dataclass(frozen=True)
 class FoldTrace:
+    """A quotient with its total vertex and edge maps.  ``steps`` lists the
+    fold steps of ``fold`` as edge pairs, each in the ids of the graph folded
+    up to that step; it is empty for other quotients."""
+
     result: LabeledGraph
     vertex_map: Mapping[int, int]
     edge_map: Mapping[int, int]
+    steps: tuple[tuple[int, int], ...] = ()
+
+
+def _quotient(
+    g: LabeledGraph, vuf: _UnionFind, euf: _UnionFind
+) -> tuple[LabeledGraph, dict[int, int], dict[int, int]]:
+    """The graph whose vertices and edges are the classes of vuf and euf,
+    named by their smallest ids, with the maps onto it."""
+    vertex_map = {v: vuf.find(v) for v in g.vertices}
+    edge_map = {e: euf.find(e) for e in g.edge_ids}
+    new_edges = []
+    for eid in sorted(set(edge_map.values())):
+        e = g.edge(eid)
+        ninv = edge_map[e.inv]
+        if ninv == eid:
+            raise ValueError(f"identification folds edge {eid} onto its own inverse")
+        new_edges.append(Edge(eid, ninv, vertex_map[e.alpha], vertex_map[e.omega], e.label))
+    return LabeledGraph(g.mode, set(vertex_map.values()), new_edges), vertex_map, edge_map
 
 
 def quotient_graph(
@@ -324,17 +338,7 @@ def quotient_graph(
         vuf.union(ea.alpha, eb.alpha)
         vuf.union(ea.omega, eb.omega)
         pending.append((ea.inv, eb.inv))
-    vertex_map = {v: vuf.find(v) for v in g.vertices}
-    edge_map = {e: euf.find(e) for e in g.edge_ids}
-    new_edges = []
-    for eid in sorted(set(edge_map.values())):
-        e = g.edge(eid)
-        ninv = edge_map[e.inv]
-        if ninv == eid:
-            raise ValueError(f"identification folds edge {eid} onto its own inverse")
-        new_edges.append(Edge(eid, ninv, vertex_map[e.alpha], vertex_map[e.omega], e.label))
-    result = LabeledGraph(g.mode, set(vertex_map.values()), new_edges)
-    return FoldTrace(result, vertex_map, edge_map)
+    return FoldTrace(*_quotient(g, vuf, euf))
 
 
 def is_folded(g: LabeledGraph) -> bool:
@@ -388,13 +392,56 @@ def identity_trace(g: LabeledGraph) -> FoldTrace:
 
 
 def fold(g: LabeledGraph) -> FoldTrace:
-    """Fold to completion with a deterministic (vertex id, label) schedule."""
-    trace = identity_trace(g)
-    while True:
-        cand = _fold_candidate(trace.result)
-        if cand is None:
-            return trace
-        trace = compose_traces(trace, fold_once(trace.result, *cand))
+    """Fold to completion in one worklist pass (Stallings 1983; Touikan 2006).
+
+    Vertices and oriented edges are merged by union-find.  Each vertex class
+    keeps one label -> edge table; when two classes merge, the smaller table
+    goes into the larger, and every label clash queues the two edges.  A
+    queued pair that is already one geometric edge is skipped; any other is
+    one fold step, recorded in ``steps`` as the representatives of its two
+    edges.  Representatives are smallest ids, as in ``quotient_graph``, so
+    ``fold_once`` replays the steps in order.  The folded graph is built once,
+    at the end.  The vertex map and geometric edge images do not depend on
+    the order of the steps; for a loop whose label is its own inverse, which
+    orientation an edge folded onto it maps to does.
+    """
+    vuf = _UnionFind(g.vertices)
+    euf = _UnionFind(g.edge_ids)
+    tables: dict[int, dict[str, int]] = {}
+    pending: deque[tuple[int, int]] = deque()
+
+    def add(table: dict[str, int], label: str, eid: int) -> None:
+        first = table.setdefault(label, eid)
+        if first != eid:
+            pending.append((first, eid))
+
+    for v in sorted(g.vertices):
+        table = tables[v] = {}
+        for eid in g.edges_at(v):
+            add(table, g.edge(eid).label, eid)
+    steps: list[tuple[int, int]] = []
+    while pending:
+        a, b = pending.popleft()
+        ea, eb = g.edge(a), g.edge(b)
+        ra, rb = euf.find(a), euf.find(b)
+        if ra == rb or ra == euf.find(eb.inv):
+            continue
+        steps.append((ra, rb))
+        euf.union(a, b)
+        euf.union(ea.inv, eb.inv)
+        # the initial vertices share a class already: both edges came from
+        # one table
+        x, y = vuf.find(ea.omega), vuf.find(eb.omega)
+        gone = vuf.union(x, y)
+        if gone is not None:
+            keep = x + y - gone
+            big, small = tables[keep], tables.pop(gone)
+            if len(big) < len(small):
+                big, small = small, big
+                tables[keep] = big
+            for label, eid in small.items():
+                add(big, label, eid)
+    return FoldTrace(*_quotient(g, vuf, euf), steps=tuple(steps))
 
 
 def fold_based(bg: BasedGraph) -> tuple[BasedGraph, FoldTrace]:
@@ -621,12 +668,26 @@ def graph_to_json_dict(g: LabeledGraph, basepoint: Optional[int] = None) -> dict
 
 
 def graph_from_json_dict(data: Mapping) -> tuple[LabeledGraph, Optional[int]]:
+    """Inverse of ``graph_to_json_dict``.  A missing field raises KeyError,
+    a wrongly typed one TypeError, a broken structure ValueError."""
     edges = [
         Edge(rec["id"], rec["inv"], rec["alpha"], rec["omega"], rec["label"])
         for rec in data["edges"]
     ]
-    g = LabeledGraph(data["mode"], data["vertices"], edges)
-    return g, data.get("basepoint")
+    vertices = data["vertices"]
+    for v in vertices:
+        if type(v) is not int:
+            raise TypeError(f"vertex {v!r} is not an integer")
+    for e in edges:
+        if any(type(x) is not int for x in (e.id, e.inv, e.alpha, e.omega)):
+            raise TypeError(f"edge {e.id!r}: ids and endpoints must be integers")
+        if not isinstance(e.label, str):
+            raise TypeError(f"edge {e.id}: label {e.label!r} is not a string")
+    g = LabeledGraph(data["mode"], vertices, edges)
+    basepoint = data.get("basepoint")
+    if basepoint is not None and basepoint not in g.vertices:
+        raise ValueError(f"basepoint {basepoint!r} is not a vertex")
+    return g, basepoint
 
 
 def save_graph(path: str, g: LabeledGraph, basepoint: Optional[int] = None) -> None:

@@ -1,13 +1,24 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import random
 import shutil
 
 import pytest
 
 from coxfold.cli import main
 from coxfold.fixtures import data_path
-from coxfold.graphs import save_graph, wedge_graph
+from coxfold.graphs import (
+    _fold_candidate,
+    betti,
+    compose_traces,
+    fold_once,
+    identity_trace,
+    is_folded,
+    load_graph,
+    save_graph,
+    wedge_graph,
+)
 
 
 @pytest.fixture
@@ -105,6 +116,69 @@ class TestFoldCommand:
         gpath.write_text("{not json")
         assert main(["fold", "--graph", str(gpath)]) == 1
 
+    @pytest.mark.parametrize("mode", ["involutive", "free"])
+    def test_matches_stepwise_fold(self, tmp_path, capsys, mode):
+        rng = random.Random(7)
+        letters = ("s", "t", "u") if mode == "involutive" else ("x", "y", "x^-1", "y^-1")
+        words = [tuple(rng.choice(letters) for _ in range(5)) for _ in range(8)]
+        bg = wedge_graph(words, mode)
+        gpath, out, ref_out = tmp_path / "g.json", tmp_path / "out.json", tmp_path / "ref.json"
+        save_graph(str(gpath), bg.graph, bg.basepoint)
+        code = main(["fold", "--graph", str(gpath), "--out", str(out), "--json", "--trace"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        # what the stepwise loop the command used to run writes and reports
+        ref, n_steps = identity_trace(bg.graph), 0
+        while (pair := _fold_candidate(ref.result)) is not None:
+            ref = compose_traces(ref, fold_once(ref.result, *pair))
+            n_steps += 1
+        folded = ref.result
+        save_graph(str(ref_out), folded, ref.vertex_map[bg.basepoint])
+        assert out.read_bytes() == ref_out.read_bytes()
+        assert n_steps > 0
+        assert {k: report[k] for k in ("steps", "vertices", "geometric_edges", "betti", "folded")} == {
+            "steps": n_steps,
+            "vertices": len(folded.vertices),
+            "geometric_edges": len(folded.geometric_edges()),
+            "betti": betti(folded),
+            "folded": is_folded(folded),
+        }
+        g = load_graph(str(gpath))[0]
+        assert len(report["trace"]) == n_steps
+        for step in report["trace"]:
+            g = fold_once(g, *step["edges"]).result
+            assert step["vertices_after"] == len(g.vertices)
+        assert g.vertices == folded.vertices
+        assert g.geometric_edges() == folded.geometric_edges()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"mode": "free", "vertices": [0]},
+            {"edges": [], "vertices": [0]},
+            {"edges": [], "mode": "free"},
+            [],
+            {"edges": [1], "mode": "free", "vertices": [0]},
+            {"edges": [], "mode": "free", "vertices": ["a", 0]},
+            {
+                "edges": [
+                    {"id": 0, "inv": 1, "alpha": 0, "omega": 0, "label": 5},
+                    {"id": 1, "inv": 0, "alpha": 0, "omega": 0, "label": 5},
+                ],
+                "mode": "free",
+                "vertices": [0],
+            },
+            {"basepoint": 3, "edges": [], "mode": "free", "vertices": [0]},
+        ],
+    )
+    def test_malformed_graph_file_is_one_line_input_error(self, tmp_path, capsys, data):
+        gpath = tmp_path / "bad.json"
+        gpath.write_text(json.dumps(data))
+        assert main(["fold", "--graph", str(gpath)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("malformed graph file: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestBoundsCommand:
     def test_theorem_applies(self, big_matrix_file, capsys):
@@ -190,3 +264,27 @@ class TestNonExample:
             payload = json.load(fh)
         assert payload["verified"] is True
         assert all(step["ok"] for step in payload["steps"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["word", "--matrix", "{matrix}", "--budget", "0", "is-identity", "s t s t s t"],
+        ["word", "--matrix", "{matrix}", "--budget", "-5", "--json", "is-identity", "s s"],
+        ["check-decomposition", "--decomposition", "{decomposition}", "--budget", "0"],
+        ["check-decomposition", "--decomposition", "{decomposition}", "--budget", "-3"],
+        ["non-example", "--q", "3", "--verify", "--budget", "0", "--out", "{out}"],
+        ["non-example", "--q", "3", "--verify", "--budget", "-1", "--out", "{out}"],
+    ],
+)
+def test_non_positive_budget_is_one_line_input_error(argv, matrix_file, tmp_path, capsys):
+    paths = {
+        "matrix": matrix_file,
+        "decomposition": data_path("tame_marked.json"),
+        "out": str(tmp_path),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --budget must be a positive integer")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

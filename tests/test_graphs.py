@@ -14,9 +14,12 @@ from coxfold.graphs import (
     MoveRejected,
     accepts,
     ao_move,
+    _fold_candidate,
     based_isomorphic,
     betti,
+    canonical_json,
     components,
+    compose_traces,
     euler,
     fold,
     fold_based,
@@ -24,6 +27,7 @@ from coxfold.graphs import (
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
+    identity_trace,
     is_folded,
     pi1_generators,
     quotient_graph,
@@ -253,8 +257,6 @@ class TestFoldProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_betti_never_increases_stepwise(self, seed):
-        from coxfold.graphs import _fold_candidate
-
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 6), "stu")
         while True:
@@ -264,3 +266,79 @@ class TestFoldProperties:
             nxt = fold_once(g, *pair).result
             assert betti(nxt) <= betti(g)
             g = nxt
+
+
+def stepwise_fold(g):
+    """Reference fold: one fold_once per step at the first (vertex id, label)
+    candidate, composing the maps as it goes."""
+    trace = identity_trace(g)
+    while (pair := _fold_candidate(trace.result)) is not None:
+        trace = compose_traces(trace, fold_once(trace.result, *pair))
+    return trace
+
+
+def random_graph(rng, mode):
+    """Possibly disconnected, with loops and multi-edges."""
+    b = GraphBuilder(mode)
+    verts = [b.add_vertex() for _ in range(rng.randint(1, 10))]
+    labels = ("s", "t") if mode == "involutive" else ("x", "y", "x^-1")
+    for _ in range(rng.randint(0, 14)):
+        b.add_edge(rng.choice(verts), rng.choice(verts), rng.choice(labels))
+    return b.build()
+
+
+def with_shuffled_edge_ids(rng, g):
+    """g as loaded from a JSON file whose inverse pairs need not carry
+    consecutive ids."""
+    ids = list(g.edge_ids)
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    data = graph_to_json_dict(g)
+    for rec in data["edges"]:
+        rec["id"], rec["inv"] = new[rec["id"]], new[rec["inv"]]
+    return graph_from_json_dict(data)[0]
+
+
+class TestFoldEngine:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(("involutive", "free")),
+        st.booleans(),
+    )
+    def test_matches_stepwise_reference(self, seed, mode, from_json):
+        rng = random.Random(seed)
+        g = random_graph(rng, mode)
+        if from_json:
+            g = with_shuffled_edge_ids(rng, g)
+        trace, ref = fold(g), stepwise_fold(g)
+        out = trace.result
+        assert trace.vertex_map == ref.vertex_map
+        for eid in g.edge_ids:
+            assert out.geometric(trace.edge_map[eid]) == ref.result.geometric(ref.edge_map[eid])
+            # the edge map is a graph morphism
+            e, img = g.edge(eid), out.edge(trace.edge_map[eid])
+            assert img.inv == trace.edge_map[e.inv]
+            assert img.alpha == trace.vertex_map[e.alpha]
+            assert img.omega == trace.vertex_map[e.omega]
+            assert img.label == e.label
+        if not from_json:
+            assert canonical_json(graph_to_json_dict(out)) == canonical_json(
+                graph_to_json_dict(ref.result)
+            )
+        assert len(trace.steps) == len(g.geometric_edges()) - len(out.geometric_edges())
+        replay = g
+        for pair in trace.steps:
+            replay = fold_once(replay, *pair).result
+        assert graph_to_json_dict(replay) == graph_to_json_dict(out)
+        assert is_folded(out)
+
+    def test_involutive_loop_is_one_geometric_edge(self):
+        # both orientations of an s-loop leave v with label s; folding a
+        # second s-loop onto it is one step, the loop itself never is
+        b = GraphBuilder("involutive")
+        v = b.add_vertex()
+        b.add_edge(v, v, "s")
+        b.add_edge(v, v, "s")
+        trace = fold(b.build())
+        assert len(trace.steps) == 1
+        assert len(trace.result.geometric_edges()) == 1
