@@ -4,6 +4,7 @@ from .coxeter import (
     CoxeterMatrix,
     Indeterminate,
     INF,
+    InvariantViolation,
     alternating_word,
     equal_in_group,
     find_almost_relator,

@@ -4,9 +4,8 @@ Subcommands: ``word`` (reduce / is-identity / equal / scan-relator /
 kappa), ``fold``, ``bounds``, ``check-decomposition``, ``non-example``.
 
 Exit codes are uniform across commands: 0 for a determinate answer, 1 for
-an input or parse error, 2 when the rewriting budget was exhausted before
-an answer was reached, 3 when a stored object breaks a structural
-invariant.
+an input or parse error, 2 when the work budget ran out before an answer
+was reached, 3 when a stored object breaks a structural invariant.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from .coxeter import (
     INF,
     CoxeterMatrix,
     Indeterminate,
+    InvariantViolation,
     equal_in_group,
     find_almost_relator,
     is_identity,
@@ -59,7 +59,6 @@ EXIT_INDETERMINATE = 2
 EXIT_INVARIANT = 3
 
 LARGE_Q = 101
-LARGE_BUDGET = 5_000_000
 
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
@@ -107,7 +106,7 @@ def _cmd_word(args: argparse.Namespace) -> int:
                     f"{{{', '.join(sorted(pair))}}}"
                 )
         elif args.action == "kappa":
-            value = kappa(w, matrix)
+            value = kappa(w, matrix, budget=budget)
             report["result"] = value
             lines.append(str(value))
         report["budget_exhausted"] = False
@@ -204,7 +203,7 @@ def _cmd_check_decomposition(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"malformed decomposition file: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     marking = marking or Marking.empty()
@@ -240,7 +239,7 @@ def _cmd_check_decomposition(args: argparse.Namespace) -> int:
 
 def _cmd_non_example(args: argparse.Namespace) -> int:
     q = LARGE_Q if args.large else args.q
-    budget = args.budget or (LARGE_BUDGET if args.large else DEFAULT_BUDGET)
+    budget = args.budget or DEFAULT_BUDGET
     fam = ExampleFamily(q)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -362,6 +361,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Indeterminate as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
+    except InvariantViolation as exc:
+        print(f"invariant breach: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,9 +1,17 @@
-"""Words over a Coxeter generating set and Tits' rewriting system.
+"""Words over a Coxeter generating set and the word problem.
 
 A Coxeter matrix ``M = (m_st)`` over a finite ordered generator set ``S``
 presents the group ``W(M) = <S | (st)^m_st>``.  Generators are involutions,
-so the inverse of a word is its reversal.  The word problem is solved by
-exploring the closure of a word under two length-non-increasing moves:
+so the inverse of a word is its reversal.  The word problem is solved in
+polynomial time by a descent engine: s is a left descent of w iff
+``w^-1(alpha_s)`` is a negative root in the geometric representation, and
+stripping the smallest left descent again and again spells the shortlex
+normal form of w (``reduce_word``).  Signs of roots are certified in
+fixed-point arithmetic with a per-entry error bound; ``budget`` caps the
+engine's updates and ``Indeterminate`` reports running past it.
+
+``tits_closure`` is the reference engine: the breadth-first closure of a
+word under Tits' two length-non-increasing moves,
 
 * cancellation: delete an adjacent equal pair ``ss``;
 * homotopy: replace a factor ``gamma_st(m_st)`` by ``gamma_ts(m_st)``
@@ -19,6 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 INF = math.inf
@@ -29,7 +38,11 @@ Word = tuple[str, ...]
 
 
 class Indeterminate(Exception):
-    """The closure search exhausted its budget before reaching an answer."""
+    """The engine ran past its work budget before reaching an answer."""
+
+
+class InvariantViolation(Exception):
+    """A structural invariant that holds by construction failed."""
 
 
 class CoxeterMatrix:
@@ -273,8 +286,9 @@ class TitsClosure:
 def tits_closure(w: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) -> TitsClosure:
     """Breadth-first closure of {w} under cancellations and homotopies.
 
-    The search stops once ``budget`` distinct words have been collected;
-    truncation is flagged, not an error.
+    This is the exponential reference engine; the word-problem functions
+    use the descent engine.  The search stops once ``budget`` distinct
+    words have been collected; truncation is flagged, not an error.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -297,43 +311,138 @@ def tits_closure(w: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) -
     return TitsClosure(origin=w, members=frozenset(seen), budget_exhausted=exhausted)
 
 
-def _identity_search(w: Word, matrix: CoxeterMatrix, budget: int) -> bool:
-    """Like tits_closure membership of the empty word, with early exit."""
-    w = tuple(w)
-    if not w:
-        return True
-    seen: set[Word] = {w}
-    queue: deque[Word] = deque([w])
-    while queue:
-        cur = queue.popleft()
-        nexts = [apply_cancellation(cur, i) for i in cancellation_sites(cur)]
-        nexts.extend(apply_homotopy(cur, site, matrix) for site in homotopy_sites(cur, matrix))
-        for nxt in nexts:
-            if not nxt:
-                return True
-            if nxt not in seen:
-                if len(seen) >= budget:
-                    raise Indeterminate(
-                        f"closure budget of {budget} words exhausted on a word of length {len(w)}"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+# -- the descent engine -------------------------------------------------
+#
+# W(M) acts on the real vector space with basis (alpha_s) through the
+# reflections sigma_s(v) = v - 2 B(alpha_s, v) alpha_s, where
+# B(alpha_s, alpha_t) = -cos(pi / m_st) and -1 when m_st is infinite.  So
+# sigma_s changes coordinate s alone: v_s <- -v_s + sum_t c_st v_t with
+# c_st = 2 cos(pi / m_st), and c_st = 2 when m_st is infinite.  For an
+# element w, s is a left descent (l(s w) < l(w)) iff w^-1(alpha_s) is a
+# negative root, and the identity is the only element without one.
+# Stripping the smallest left descent again and again spells the
+# lexicographically least reduced word of w (Bjorner-Brenti, ch. 4).
+#
+# Coordinates are fixed-point integers scaled by 2**bits, each with a bound
+# on its error.  The coefficients 0, 1 and 2 (m_st in {2, 3, inf}) are
+# applied exactly; the others are rounded to within one unit.  A root is
+# either nonnegative or nonpositive, so its sign is certified by any one
+# coordinate whose absolute value exceeds its error bound.  Every root has
+# a coordinate of absolute value at least 1/rank (B(beta, beta) = 1), so
+# with enough bits some coordinate is always certified.
 
 
-def is_identity(w: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff w represents 1 in W(M).
+def _fixed_pi(bits: int) -> int:
+    """pi * 2**bits, within 8 * bits units (Machin's formula)."""
 
-    Adjacent equal pairs are cancelled up front; cancellations preserve the
-    represented element and the empty word is reachable from the original
-    word iff it is reachable from the cancelled one.
-    """
-    return _identity_search(free_reduce(w), matrix, budget)
+    def atan_inv(x: int) -> int:
+        total = term = (1 << bits) // x
+        k = 1
+        while term:
+            term //= x * x
+            k += 2
+            total += -(term // k) if k % 4 == 3 else term // k
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
 
 
-def equal_in_group(w1: Word, w2: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff w1 and w2 represent the same element of W(M)."""
-    return is_identity(tuple(w1) + inverse_word(tuple(w2)), matrix, budget)
+@lru_cache(maxsize=256)
+def _two_cos_series(m: int, bits: int) -> int:
+    """2 cos(pi / m) * 2**bits, within one unit, by the Taylor series."""
+    guard = 32
+    g = bits + guard
+    x = _fixed_pi(g) // m
+    x2 = x * x >> g
+    total = term = 1 << g
+    k = 0
+    while term:
+        k += 2
+        term = (term * x2 >> g) // ((k - 1) * k)
+        total += -term if k % 4 == 2 else term
+    return (2 * total + (1 << (guard - 1))) >> guard
+
+
+def _two_cos_pi_over(m: int, bits: int) -> int:
+    """2 cos(pi / m) * 2**bits, within one unit.  The series runs at the
+    next power of two ``top``, so word lengths share a few cached values:
+    scaled down it is within 2**(bits - top) <= 1/2 unit when top > bits,
+    and rounding adds half a unit."""
+    top = 1 << max(bits - 1, 1).bit_length()
+    drop = top - bits
+    return (_two_cos_series(m, top) + (1 << drop >> 1)) >> drop
+
+
+_EXACT = {2: 0, 3: 1, INF: 2}
+
+
+class _GeometricRep:
+    """The matrix of w^-1 on the basis (alpha_s), updated one reflection at
+    a time.  Column t is the root w^-1(alpha_t); x[i][t] is its coordinate
+    i times 2**bits and e[i][t] bounds that entry's error."""
+
+    def __init__(self, matrix: CoxeterMatrix, bits: int):
+        gens = matrix.generators
+        n = len(gens)
+        self.bits = bits
+        # per generator s: (t, c, exact) for every t with c_st != 0; c is
+        # the coefficient itself when exact, else c_st * 2**bits rounded
+        self.coeffs = [
+            [
+                (j, _EXACT[m], True) if m in _EXACT else (j, _two_cos_pi_over(m, bits), False)
+                for j, t in enumerate(gens)
+                if t != s and (m := matrix.entry(s, t)) != 2
+            ]
+            for s in gens
+        ]
+        one = 1 << bits
+        self.x = [[one if i == j else 0 for j in range(n)] for i in range(n)]
+        self.e = [[0] * n for _ in range(n)]
+
+    def append(self, s: int) -> None:
+        """w <- w s, so w^-1 <- s w^-1: sigma_s applied to every column
+        changes row s alone."""
+        x, e, bits = self.x, self.e, self.bits
+        xs = [-v for v in x[s]]
+        es = e[s]
+        for t, c, exact in self.coeffs[s]:
+            xt, et = x[t], e[t]
+            if exact:
+                xs = [a + c * b for a, b in zip(xs, xt)]
+                es = [a + c * f for a, f in zip(es, et)]
+            else:
+                xs = [a + (c * b >> bits) for a, b in zip(xs, xt)]
+                es = [a + (((c + 1) * f + abs(b)) >> bits) + 2 for a, b, f in zip(es, xt, et)]
+        x[s], e[s] = xs, es
+
+    def strip(self, s: int) -> None:
+        """w <- s w for a left descent s, so w^-1 <- w^-1 s:
+        u_t += c_st u_s for every t, then u_s <- -u_s."""
+        bits = self.bits
+        for xi, ei in zip(self.x, self.e):
+            b, f = xi[s], ei[s]
+            for t, c, exact in self.coeffs[s]:
+                if exact:
+                    xi[t] += c * b
+                    ei[t] += c * f
+                else:
+                    xi[t] += c * b >> bits
+                    ei[t] += (((c + 1) * f + abs(b)) >> bits) + 2
+            xi[s] = -b
+
+    def first_descent(self) -> Optional[int]:
+        """The smallest s whose root u_s is certified negative, the rank
+        when every root is certified positive, or None when a root before
+        the first negative one has no certified coordinate."""
+        for s in range(len(self.x)):
+            for xi, ei in zip(self.x, self.e):
+                if abs(xi[s]) > ei[s]:
+                    if xi[s] < 0:
+                        return s
+                    break
+            else:
+                return None
+        return len(self.x)
 
 
 def reduce_word(w: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) -> Word:
@@ -341,19 +450,56 @@ def reduce_word(w: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) ->
 
     The lexicographic order follows the generator order of the matrix, so
     the result is a canonical form: two words are equal in the group iff
-    their reduced forms coincide.  Adjacent equal pairs are cancelled up
-    front; every geodesic word of the element remains reachable because
-    equal-length geodesics are connected by homotopies alone.
+    their reduced forms coincide.  After adjacent equal pairs are
+    cancelled, the letters are applied and the smallest left descent is
+    stripped until none is left.  Each reflection applied is one update of
+    the work budget; when a sign cannot be certified the run restarts with
+    twice the bits, and the updates already spent still count.  Raises
+    Indeterminate when more than ``budget`` updates are needed.
     """
-    closure = tits_closure(free_reduce(w), matrix, budget)
-    if closure.budget_exhausted:
-        raise Indeterminate(f"closure budget of {budget} words exhausted")
-    order = matrix.index
-    return min(closure.members, key=lambda v: (len(v), [order(x) for x in v]))
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    letters = [matrix.index(x) for x in free_reduce(w)]
+    exact = all(matrix.entry(s, t) in _EXACT for s, t in matrix.pairs())
+    bits = 0 if exact else 64 + 2 * len(letters)
+    used = 0
+
+    def spend() -> None:
+        nonlocal used
+        used += 1
+        if used > budget:
+            raise Indeterminate(
+                f"work budget of {budget} updates exhausted after {used - 1} updates "
+                f"on a word of length {len(letters)}"
+            )
+
+    while True:
+        rep = _GeometricRep(matrix, bits)
+        for s in letters:
+            spend()
+            rep.append(s)
+        out: list[str] = []
+        while (s := rep.first_descent()) is not None:
+            if s == matrix.rank:
+                return tuple(out)
+            spend()
+            rep.strip(s)
+            out.append(matrix.generators[s])
+        bits *= 2
+
+
+def is_identity(w: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) -> bool:
+    """True iff w represents 1 in W(M)."""
+    return not reduce_word(w, matrix, budget)
+
+
+def equal_in_group(w1: Word, w2: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) -> bool:
+    """True iff w1 and w2 represent the same element of W(M)."""
+    return is_identity(tuple(w1) + inverse_word(tuple(w2)), matrix, budget)
 
 
 def is_reduced(w: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff w is geodesic: no sequence of moves shortens it."""
+    """True iff w is geodesic: no shorter word represents the same element."""
     return len(reduce_word(w, matrix, budget)) == len(w)
 
 
@@ -411,7 +557,8 @@ def kappa(w: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) -> int:
         for (a, b) in runs:
             if a <= covered < b and best[covered] + 1 < best[b]:
                 best[b] = best[covered] + 1
-    assert best[n] != math.inf, "maximal runs always cover a word"
+    if best[n] == math.inf:
+        raise InvariantViolation("maximal alternating runs must cover the word")
     return int(best[n])
 
 

@@ -26,6 +26,7 @@ from .coxeter import (
     INF,
     CoxeterMatrix,
     Indeterminate,
+    InvariantViolation,
     Word,
     alternating_word,
     equal_in_group,
@@ -441,10 +442,11 @@ def assemble(
     chi_f = len(fv) - len(fe)
     chi_theta = euler(theta_graph)
     chi_expected = euler(gamma) + euler(dg) - chi_f
-    assert chi_theta == chi_expected, (
-        f"Euler characteristic mismatch: chi(Theta)={chi_theta}, "
-        f"chi(Gamma)+chi(Delta)-chi(F)={chi_expected}"
-    )
+    if chi_theta != chi_expected:
+        raise InvariantViolation(
+            f"Euler characteristic mismatch: chi(Theta)={chi_theta}, "
+            f"chi(Gamma)+chi(Delta)-chi(F)={chi_expected}"
+        )
 
     if basepoint is not None:
         if basepoint not in gamma.vertices:
@@ -512,7 +514,7 @@ def omega_neighborhood(
     d: Decomposition, marking: Marking, k: int
 ) -> tuple[Subgraph, Subgraph]:
     """(Omega_k inside the image of Delta minus loops, Omega-tilde_k inside
-    Delta minus loops); the image of the latter is asserted to lie in the
+    Delta minus loops); the image of the latter is checked to lie in the
     former (the converse can fail)."""
     _check_marking(d, marking)
     ambient_theta = d.delta_bar(include_loops=False)
@@ -524,7 +526,8 @@ def omega_neighborhood(
         frozenset(d.delta_vmap[v] for v in tilde_k.vertices),
         frozenset(d.bar_edge(eid) for eid in tilde_k.edges),
     )
-    assert image_tilde_k.issubset(omega_k), "image of Omega-tilde_k must lie in Omega_k"
+    if not image_tilde_k.issubset(omega_k):
+        raise InvariantViolation("image of Omega-tilde_k must lie in Omega_k")
     return omega_k, tilde_k
 
 
@@ -534,7 +537,7 @@ def omega_neighborhood(
 def potential(d: Decomposition) -> int:
     """c_star = b(Theta) + cc(Delta) - |E| (E = loop edges of Delta).
 
-    Also asserts the identity c_star = c2 + b(Delta minus E), which holds
+    Also checks the identity c_star = c2 + b(Delta minus E), which holds
     because removing loop edges changes neither the component count nor
     the vertex set.
     """
@@ -542,7 +545,8 @@ def potential(d: Decomposition) -> int:
     c_star = betti(d.theta.graph) + components(dg) - len(d.delta.loop_edges())
     c2 = betti(d.theta.graph) + euler(dg)
     b_minus = sub_betti(dg, d.delta.non_loop_subgraph())
-    assert c_star == c2 + b_minus, "potential identity c_star = c2 + b(Delta\\E) failed"
+    if c_star != c2 + b_minus:
+        raise InvariantViolation("potential identity c_star = c2 + b(Delta\\E) failed")
     return c_star
 
 
@@ -870,7 +874,7 @@ def saturate_marking(d: Decomposition, marking: Marking) -> Marking:
 
     Each adjoined path has length <= 8 and both endpoints in Omega, so the
     quantity |EOmega| + 8 chi(Omega) never increases; the loop therefore
-    terminates and the Omega3 budget survives.  Asserted per step.
+    terminates and the Omega3 budget survives.  Checked per step.
     """
     _check_marking(d, marking)
     th = d.theta.graph
@@ -899,7 +903,8 @@ def saturate_marking(d: Decomposition, marking: Marking) -> Marking:
             edges.add(th.geometric(eid))
         current = Subgraph(frozenset(verts), frozenset(edges))
         budget_after = len(current.edges) + 8 * sub_euler(th, current)
-        assert budget_after <= budget_before, "saturation must not grow the Omega3 budget"
+        if budget_after > budget_before:
+            raise InvariantViolation("saturation must not grow the Omega3 budget")
 
 
 # -- unfoldings ---------------------------------------------------------

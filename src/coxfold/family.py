@@ -10,7 +10,7 @@ The four words
     x4 = s1 (s5 s2)^a
 
 generate the whole group.  The certification is a chain of short word
-identities, each machine-checked by the rewriting engine:
+identities, each machine-checked by the word-problem engine:
 
 * in the dihedral subgroup <s2, sj>, conjugating s2 by (sj s2)^a gives
   s2 sj s2 (walked one conjugation at a time);

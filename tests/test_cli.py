@@ -288,3 +288,33 @@ def test_non_positive_budget_is_one_line_input_error(argv, matrix_file, tmp_path
     assert captured.out == ""
     assert captured.err.startswith("error: --budget must be a positive integer")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_kappa_budget_exhaustion_is_exit_2(matrix_file, capsys):
+    code = main(["word", "--matrix", matrix_file, "--budget", "3", "kappa", "s t u s"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("indeterminate: work budget of 3 updates")
+
+
+def test_invariant_violation_is_one_line_exit_3(monkeypatch, capsys):
+    from coxfold import decomposition
+
+    real_sub_betti = decomposition.sub_betti
+    monkeypatch.setattr(decomposition, "sub_betti", lambda g, sub: real_sub_betti(g, sub) + 1)
+    code = main(["check-decomposition", "--decomposition", data_path("tame_marked.json")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invariant breach: potential identity")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_non_example_q7_witnesses_match_bundled_file(tmp_path):
+    # the bundled file stores the x words where the command writes
+    # witnesses_ok; every other byte, the certificate steps included, agrees
+    assert main(["non-example", "--q", "7", "--verify", "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "nonexample_q7_witnesses.json").read_text())
+    with open(data_path("nonexample_q7_witnesses.json"), "rb") as fh:
+        bundled = fh.read()
+    assert written.pop("witnesses_ok") == {f"s{i}": True for i in range(1, 6)}
+    written["x"] = json.loads(bundled)["x"]
+    assert (json.dumps(written, indent=2, sort_keys=True) + "\n").encode() == bundled

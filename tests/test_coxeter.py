@@ -1,10 +1,12 @@
 """Unit and property tests for the word-problem engine."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxfold import coxeter
 from coxfold.coxeter import (
     INF,
     CoxeterMatrix,
@@ -22,6 +24,7 @@ from coxfold.coxeter import (
     reduce_word,
     tits_closure,
 )
+from coxfold.family import ExampleFamily
 
 from oracles import DihedralOracle
 
@@ -209,3 +212,99 @@ class TestProperties:
         ):
             return
         assert kappa(w, M_ST7) <= kappa(u, M_ST7) + kappa(v, M_ST7)
+
+
+# -- the descent engine against the closure search ----------------------
+
+
+def closure_reduce(w, matrix, budget=200_000):
+    """Shortlex minimum of the Tits closure of the cancelled word: the
+    closure-search reduce_word, kept here as the reference."""
+    closure = tits_closure(free_reduce(w), matrix, budget)
+    assert not closure.budget_exhausted
+    return min(closure.members, key=lambda v: (len(v), [matrix.index(x) for x in v]))
+
+
+EXPONENTS = list(range(2, 13)) + [61, 101, INF]
+
+
+@st.composite
+def matrices_and_words(draw):
+    gens = ("a", "b", "c", "d")[: draw(st.integers(min_value=2, max_value=4))]
+    entries = {
+        (s, t): draw(st.sampled_from(EXPONENTS))
+        for i, s in enumerate(gens)
+        for t in gens[i + 1:]
+    }
+    words = st.lists(st.sampled_from(gens), max_size=10).map(tuple)
+    return CoxeterMatrix(gens, entries), draw(words), draw(words)
+
+
+class TestDescentEngine:
+    @settings(max_examples=500, deadline=None)
+    @given(matrices_and_words())
+    def test_matches_closure_search(self, case):
+        matrix, w, v = case
+        ref_w, ref_v = closure_reduce(w, matrix), closure_reduce(v, matrix)
+        assert reduce_word(w, matrix) == ref_w
+        assert is_identity(w, matrix) == (ref_w == ())
+        assert is_reduced(w, matrix) == (len(ref_w) == len(w))
+        assert equal_in_group(w, v, matrix) == (ref_w == ref_v)
+        assert equal_in_group(w, ref_w, matrix)
+
+    def test_long_hyperbolic_words_double_the_precision(self, monkeypatch):
+        bits_tried = []
+        rep = coxeter._GeometricRep
+
+        def recording_rep(matrix, bits):
+            bits_tried.append(bits)
+            return rep(matrix, bits)
+
+        monkeypatch.setattr(coxeter, "_GeometricRep", recording_rep)
+        matrix = ExampleFamily(61).matrix
+        rng = random.Random(61)
+        for _ in range(4):
+            # s3/s4/s5 spacers, each followed by nothing, by s1 or s2, or by
+            # an (s1 s2)^4 or (s1 s2)^4 s1 block that m_12 = 8 lets the
+            # closure search rewrite; the spacers keep the closure small
+            w: list[str] = []
+            while len(w) < 150:
+                w.append(rng.choice([x for x in ("s3", "s4", "s5") if w[-1:] != [x]]))
+                r = rng.random()
+                if r < 0.1:
+                    w.extend(alternating_word("s1", "s2", rng.choice((8, 9))))
+                elif r < 0.6:
+                    w.append(rng.choice(("s1", "s2")))
+            w = tuple(w)
+            bits_tried.clear()
+            out = reduce_word(w, matrix)
+            assert len(bits_tried) >= 2 and bits_tried[1] == 2 * bits_tried[0]
+            assert out == closure_reduce(w, matrix)
+            assert is_reduced(out, matrix)
+            assert is_identity(w + tuple(reversed(out)), matrix)
+            assert not is_identity(w + tuple(reversed(out[1:])), matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(["s1", "s2", "s3", "s4", "s5"]), max_size=60))
+    def test_error_bounds_enclose_high_precision_values(self, w):
+        # the same reflections at 16 and at 4096 bits: both intervals hold
+        # the true coordinate, so they must meet
+        matrix = ExampleFamily(61).matrix
+        lo, hi = coxeter._GeometricRep(matrix, 16), coxeter._GeometricRep(matrix, 4096)
+        for x in w:
+            lo.append(matrix.index(x))
+            hi.append(matrix.index(x))
+        for s in range(matrix.rank):
+            lo.strip(s)
+            hi.strip(s)
+        shift = 4096 - 16
+        for i in range(matrix.rank):
+            for j in range(matrix.rank):
+                gap = abs((lo.x[i][j] << shift) - hi.x[i][j])
+                assert gap <= (lo.e[i][j] << shift) + hi.e[i][j]
+
+    def test_budget_counts_updates(self):
+        w = alternating_word("s", "t", 6)
+        assert reduce_word(w, M_ST7, budget=12) == w
+        with pytest.raises(Indeterminate, match="work budget of 11 updates"):
+            reduce_word(w, M_ST7, budget=11)

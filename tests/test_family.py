@@ -5,6 +5,8 @@ import pytest
 from coxfold.coxeter import INF, alternating_word, equal_in_group
 from coxfold.family import ExampleFamily
 
+from test_coxeter import closure_reduce
+
 
 class TestConstruction:
     def test_matrix_shape(self):
@@ -69,3 +71,14 @@ class TestCertification:
         # over X at q = 7, past any 12-syllable enumeration
         fam = ExampleFamily(7)
         assert 4 * fam.a + 1 > 12
+
+
+@pytest.mark.parametrize("q", range(3, 42, 2))
+def test_certificate_matches_closure_search(q):
+    # each step's input is built from earlier outputs, so matching every
+    # output replays the whole chain of the closure engine
+    fam = ExampleFamily(q)
+    cert = fam.verify()
+    assert cert.certified
+    for step in cert.steps:
+        assert step.output_word == closure_reduce(step.input_word, fam.matrix), step.name
