@@ -70,7 +70,11 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _cmd_word(args: argparse.Namespace) -> int:
-    matrix = CoxeterMatrix.load(args.matrix)
+    try:
+        matrix = CoxeterMatrix.load(args.matrix)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"malformed matrix file: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     budget = args.budget or DEFAULT_BUDGET
     w = parse_word(args.word, matrix)
     report: dict = {"action": args.action, "word": word_to_str(w), "budget": budget}
@@ -170,7 +174,11 @@ def _cmd_fold(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    matrix = CoxeterMatrix.load(args.matrix)
+    try:
+        matrix = CoxeterMatrix.load(args.matrix)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"malformed matrix file: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     n = matrix.rank
     threshold = 6 * 2 ** n
     applies = all(

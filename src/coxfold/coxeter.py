@@ -163,8 +163,15 @@ class CoxeterMatrix:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CoxeterMatrix":
-        gens = tuple(data["generators"])
-        upper = data["upper_triangular"]
+        """Inverse of ``to_json_dict``.  A missing field raises KeyError, a
+        wrongly typed one TypeError, a broken structure ValueError."""
+        if not isinstance(data, dict):
+            raise TypeError("a matrix must be a JSON object")
+        gens, upper = data["generators"], data["upper_triangular"]
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            raise TypeError("generators must be a list of strings")
+        if not isinstance(upper, list) or not all(isinstance(row, list) for row in upper):
+            raise TypeError("upper_triangular must be a list of lists")
         entries: dict[tuple[str, str], int | float] = {}
         if len(upper) != max(len(gens) - 1, 0):
             raise ValueError("upper_triangular has the wrong number of rows")
@@ -172,7 +179,11 @@ class CoxeterMatrix:
             if len(row) != len(gens) - 1 - i:
                 raise ValueError(f"upper_triangular row {i} has the wrong length")
             for j, value in enumerate(row, start=i + 1):
-                entries[(gens[i], gens[j])] = INF if value == "inf" else int(value)
+                if value != "inf" and type(value) is not int:
+                    raise TypeError(
+                        f"entry {value!r} for ({gens[i]}, {gens[j]}) is not an integer or \"inf\""
+                    )
+                entries[(gens[i], gens[j])] = INF if value == "inf" else value
         return cls(gens, entries)
 
     def to_json_dict(self) -> dict:
@@ -506,32 +517,26 @@ def is_reduced(w: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) -> 
 # -- alternating-subword bookkeeping ------------------------------------
 
 
-def _is_alternating(w: Word, i: int, j: int) -> bool:
-    """True iff w[i:j] alternates between two symbols (or is shorter than 2)."""
-    for k in range(i, j - 1):
-        if w[k] == w[k + 1]:
-            return False
-        if k + 2 < j and w[k] != w[k + 2]:
-            return False
-    return True
-
-
 def maximal_alternating_runs(w: Word) -> list[tuple[int, int]]:
     """Index ranges [i, j) of the maximal alternating subwords of w.
 
     Maximality is by inclusion; distinct runs may overlap in one letter.
+    One left-to-right pass: a run grows while each letter differs from the
+    one before it and equals the one two back.  When the run breaks at k,
+    the next run starts at k if w[k] repeats w[k-1], else at k - 1, so
+    neighbouring runs share a letter.  Runs come out in strictly
+    increasing order of start, and so of end.
     """
     n = len(w)
     runs: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            if not _is_alternating(w, i, j):
-                continue
-            if i > 0 and _is_alternating(w, i - 1, j):
-                continue
-            if j < n and _is_alternating(w, i, j + 1):
-                continue
-            runs.append((i, j))
+    start = 0
+    for k in range(1, n):
+        if w[k] != w[k - 1] and (k - start < 2 or w[k] == w[k - 2]):
+            continue
+        runs.append((start, k))
+        start = k if w[k] == w[k - 1] else k - 1
+    if n:
+        runs.append((start, n))
     return runs
 
 
@@ -539,49 +544,41 @@ def kappa(w: Word, matrix: CoxeterMatrix, budget: int = DEFAULT_BUDGET) -> int:
     """Minimal number of maximal alternating subwords covering w.
 
     Defined only for reduced (geodesic) input; other input is a
-    precondition error.  Computed by an exhaustive cover search over the
-    maximal alternating subwords.
+    precondition error.  The runs are intervals sorted by start, so a
+    greedy sweep is optimal: extend the covered prefix by the run that
+    reaches farthest among those starting inside it.
     """
     w = tuple(w)
     if not is_reduced(w, matrix, budget):
         raise ValueError("kappa requires a reduced word")
-    n = len(w)
-    if n == 0:
-        return 0
-    runs = maximal_alternating_runs(w)
-    best = [math.inf] * (n + 1)
-    best[0] = 0
-    for covered in range(n):
-        if best[covered] == math.inf:
-            continue
-        for (a, b) in runs:
-            if a <= covered < b and best[covered] + 1 < best[b]:
-                best[b] = best[covered] + 1
-    if best[n] == math.inf:
-        raise InvariantViolation("maximal alternating runs must cover the word")
-    return int(best[n])
+    # covered: the prefix covered by count runs; reach: the farthest end
+    # of a run starting inside it.  The empty end run forces the last pick.
+    count = covered = reach = 0
+    for (a, b) in maximal_alternating_runs(w) + [(len(w), len(w))]:
+        if a > covered:
+            count, covered = count + 1, reach
+            if a > covered:
+                raise InvariantViolation("maximal alternating runs must cover the word")
+        reach = max(reach, b)
+    return count
 
 
 def find_almost_relator(w: Word, matrix: CoxeterMatrix) -> Optional[tuple[int, int, frozenset[str]]]:
     """Leftmost maximal alternating subword of length >= 2*m_st - 3.
 
     Only pairs with a finite exponent qualify.  Returns (start, end, type)
-    with an exclusive end index, or None.
+    with an exclusive end index, or None.  The runs come out left to
+    right, so the first that qualifies is the leftmost.
     """
     w = tuple(w)
-    hits: list[tuple[int, int, frozenset[str]]] = []
     for (a, b) in maximal_alternating_runs(w):
         if b - a < 2:
             continue
         s, t = w[a], w[a + 1]
         m = matrix.entry(s, t)
-        if m == INF:
-            continue
-        if b - a >= 2 * m - 3:
-            hits.append((a, b, frozenset((s, t))))
-    if not hits:
-        return None
-    return min(hits, key=lambda h: (h[0], h[1]))
+        if m != INF and b - a >= 2 * m - 3:
+            return a, b, frozenset((s, t))
+    return None
 
 
 # -- elementary rank bounds ---------------------------------------------

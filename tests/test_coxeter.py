@@ -18,6 +18,7 @@ from coxfold.coxeter import (
     is_identity,
     is_reduced,
     kappa,
+    maximal_alternating_runs,
     mod2_rank_bound,
     parse_word,
     petersen_thom_bound,
@@ -308,3 +309,104 @@ class TestDescentEngine:
         assert reduce_word(w, M_ST7, budget=12) == w
         with pytest.raises(Indeterminate, match="work budget of 11 updates"):
             reduce_word(w, M_ST7, budget=11)
+
+
+# -- the alternating-run scan against the quadratic search ----------------
+
+
+def _is_alternating(w, i, j):
+    for k in range(i, j - 1):
+        if w[k] == w[k + 1]:
+            return False
+        if k + 2 < j and w[k] != w[k + 2]:
+            return False
+    return True
+
+
+def reference_runs(w):
+    """Every alternating w[i:j] that extends neither left nor right: the
+    quadratic maximal_alternating_runs, kept here as the reference."""
+    n = len(w)
+    runs = []
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            if not _is_alternating(w, i, j):
+                continue
+            if i > 0 and _is_alternating(w, i - 1, j):
+                continue
+            if j < n and _is_alternating(w, i, j + 1):
+                continue
+            runs.append((i, j))
+    return runs
+
+
+def reference_almost_relator(w, matrix):
+    hits = []
+    for (a, b) in reference_runs(w):
+        if b - a < 2:
+            continue
+        s, t = w[a], w[a + 1]
+        m = matrix.entry(s, t)
+        if m != INF and b - a >= 2 * m - 3:
+            hits.append((a, b, frozenset((s, t))))
+    return min(hits, key=lambda h: (h[0], h[1])) if hits else None
+
+
+def reference_kappa(w):
+    """Fewest reference runs covering w, by the exhaustive cover DP."""
+    n = len(w)
+    runs = reference_runs(w)
+    best = [math.inf] * (n + 1)
+    best[0] = 0
+    for covered in range(n):
+        for (a, b) in runs:
+            if a <= covered < b:
+                best[b] = min(best[b], best[covered] + 1)
+    return best[n]
+
+
+@st.composite
+def scan_cases(draw):
+    gens = ("a", "b", "c", "d")[: draw(st.integers(min_value=1, max_value=4))]
+    entries = {
+        (s, t): draw(st.sampled_from(list(range(2, 13)) + [INF]))
+        for i, s in enumerate(gens)
+        for t in gens[i + 1:]
+    }
+    w = draw(st.lists(st.sampled_from(gens), max_size=40).map(tuple))
+    return CoxeterMatrix(gens, entries), w
+
+
+class TestAlternatingScan:
+    @settings(max_examples=500, deadline=None)
+    @given(scan_cases())
+    def test_matches_quadratic_search(self, case):
+        matrix, w = case
+        assert maximal_alternating_runs(w) == reference_runs(w)
+        assert find_almost_relator(w, matrix) == reference_almost_relator(w, matrix)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    def test_kappa_matches_cover_search(self, case):
+        matrix, w = case
+        if not is_reduced(w, matrix):
+            w = reduce_word(w, matrix)
+        assert kappa(w, matrix) == reference_kappa(w)
+
+    def test_long_alternating_word_is_one_run(self):
+        w = alternating_word("s", "t", 100_000)
+        assert maximal_alternating_runs(w) == [(0, 100_000)]
+        assert find_almost_relator(w, M_ST7) == (0, 100_000, frozenset(("s", "t")))
+        free = CoxeterMatrix(("s", "t"), {("s", "t"): INF})
+        assert find_almost_relator(w, free) is None
+        assert kappa(w, free) == 1
+
+    def test_long_word_with_a_repeat_every_seven_letters(self):
+        # blocks s t s t s t s: each block ends on s and the next starts on s
+        w = alternating_word("s", "t", 7) * (100_000 // 7) + alternating_word("s", "t", 5)
+        runs = maximal_alternating_runs(w)
+        assert len(runs) == 100_000 // 7 + 1
+        assert runs == [(i, min(i + 7, 100_000)) for i in range(0, 100_000, 7)]
+        assert find_almost_relator(w, M_ST7) is None
+        m5 = CoxeterMatrix(("s", "t"), {("s", "t"): 5})
+        assert find_almost_relator(w, m5) == (0, 7, frozenset(("s", "t")))
